@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -88,11 +89,18 @@ std::int64_t parse_i64(std::string_view s) {
 double parse_f64(std::string_view s) {
   s = trim(s);
   if (s.empty()) throw ParseError("empty float");
-  // std::from_chars<double> is available in libstdc++ 11+, but strtod keeps us
-  // portable; the copy bounds the input for strtod's NUL requirement.
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc{} && ptr == s.data() + s.size() && !std::isnan(v)) {
+    return v;
+  }
+  // from_chars reads decimal text and inf/infinity to the same bits as
+  // strtod. The rest goes to strtod: a leading '+', hex floats, values out
+  // of range (+-inf or 0 for strtod, an error for from_chars) and NaNs,
+  // whose nan(...) payload only strtod keeps. The copy supplies its NUL.
   std::string buf(s);
   char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
+  v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) {
     throw ParseError("invalid float: '" + buf + "'");
   }

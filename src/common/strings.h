@@ -30,7 +30,10 @@ std::uint64_t parse_u64(std::string_view s);
 /// Parses a signed decimal integer; throws sbq::ParseError on junk.
 std::int64_t parse_i64(std::string_view s);
 
-/// Parses a floating point number; throws sbq::ParseError on junk.
+/// Parses a floating point number with strtod's grammar in the C locale:
+/// decimal or hex, optional sign, inf/infinity/nan/nan(...) in any case,
+/// out-of-range values as +-inf or 0. Surrounding ASCII whitespace is
+/// ignored; anything else left over throws sbq::ParseError.
 double parse_f64(std::string_view s);
 
 /// True if `s` consists only of ASCII whitespace (or is empty).

@@ -195,11 +195,15 @@ struct EventFront::Impl {
       const int fd = stream->fd();
       auto conn = std::make_unique<Connection>(std::move(stream), options.limits);
       conn->gen = next_gen.fetch_add(1);
+      // Read `draining` before publishing the connection: a drain that
+      // starts after tracked_connections() counts it must find it admitted
+      // (and force-close it at the deadline), not shed it as a late arrival.
+      const bool mid_drain = draining.load();
       const std::size_t live = live_connections.fetch_add(1) + 1;
       detail::ServerCounters::raise(counters.peak_connections, live);
       s.poller.add(fd, /*read=*/true, /*write=*/false);
       Connection& placed = *(s.conns[fd] = std::move(conn));
-      if (live > options.max_connections || draining.load()) {
+      if (live > options.max_connections || mid_drain) {
         // Admission control: past the cap (or mid-drain) the connection gets
         // the canned 503 before a single request byte is read.
         counters.shed.fetch_add(1);

@@ -172,7 +172,7 @@ void TcpStream::write_all(const void* buf, std::size_t n) {
     // re-armed on every byte of progress (bounds stall, not transfer time).
     std::uint64_t deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
     while (sent < n) {
-      const ssize_t w = ::send(fd, p + sent, n - sent, MSG_DONTWAIT);
+      const ssize_t w = ::send(fd, p + sent, n - sent, MSG_DONTWAIT | MSG_NOSIGNAL);
       if (w > 0) {
         sent += static_cast<std::size_t>(w);
         deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
@@ -188,10 +188,10 @@ void TcpStream::write_all(const void* buf, std::size_t n) {
     return;
   }
   while (sent < n) {
-    const ssize_t w = ::write(fd, p + sent, n - sent);
+    const ssize_t w = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
-      throw_errno("write");
+      throw_errno("send");
     }
     sent += static_cast<std::size_t>(w);
   }
@@ -200,7 +200,7 @@ void TcpStream::write_all(const void* buf, std::size_t n) {
 void TcpStream::write_chain(const BufferChain& chain) {
   const int fd = fd_.load();
   if (fd < 0) throw TransportError("write on closed stream");
-  // Gather up to kBatch segments per writev(); resume mid-segment after a
+  // Gather up to kBatch segments per sendmsg(); resume mid-segment after a
   // short write by advancing the cursor.
   constexpr std::size_t kBatch = 64;  // well under any IOV_MAX
   iovec iov[kBatch];
@@ -214,22 +214,18 @@ void TcpStream::write_chain(const BufferChain& chain) {
     const std::size_t count =
         gather_iovecs(chain, seg, consumed_in_seg, iov, kBatch);
     if (count == 0) break;  // nothing but empty segments left
-    ssize_t w;
-    if (deadline_mode) {
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = count;
-      w = ::sendmsg(fd, &msg, MSG_DONTWAIT);
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_writable(fd, deadline_ns);
-        continue;
-      }
-    } else {
-      w = ::writev(fd, iov, static_cast<int>(count));
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t w = ::sendmsg(
+        fd, &msg, deadline_mode ? MSG_DONTWAIT | MSG_NOSIGNAL : MSG_NOSIGNAL);
+    if (w < 0 && deadline_mode && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      wait_writable(fd, deadline_ns);
+      continue;
     }
     if (w < 0) {
       if (errno == EINTR) continue;
-      throw_errno(deadline_mode ? "sendmsg" : "writev");
+      throw_errno("sendmsg");
     }
     if (deadline_mode && w > 0) {
       deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
@@ -258,7 +254,7 @@ std::size_t TcpStream::write_chain_some(const BufferChain& chain,
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = count;
-    const ssize_t w = ::sendmsg(fd, &msg, MSG_DONTWAIT);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {

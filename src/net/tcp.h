@@ -52,7 +52,7 @@ class TcpStream final : public Stream {
   [[nodiscard]] std::uint64_t write_timeout_us() const {
     return write_timeout_us_;
   }
-  /// Vectored send: the whole chain goes to the kernel in writev() batches,
+  /// Vectored send: the whole chain goes to the kernel in sendmsg() batches,
   /// so multi-segment messages need neither a user-space concatenation nor
   /// one syscall per segment.
   void write_chain(const BufferChain& chain) override;

@@ -43,9 +43,11 @@ void write_scalar(xml::XmlWriter& writer, const Value& v, TypeKind kind,
       writer.text(std::to_string(v.as_u64()));
       break;
     case TypeKind::kFloat32:
-    case TypeKind::kFloat64:
-      writer.text(xml::format_double(v.as_f64()));
+    case TypeKind::kFloat64: {
+      xml::DoubleChars buf;
+      writer.text(xml::format_double(v.as_f64(), buf));
       break;
+    }
     case TypeKind::kChar:
       // Chars travel as their numeric value: whitespace and control
       // characters are not representable as XML character data (and would

@@ -9,17 +9,29 @@ namespace sbq::xml {
 std::string escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
+  escape_append(out, raw);
   return out;
+}
+
+void escape_append(std::string& out, std::string_view raw) {
+  // Copy runs of plain characters in one append each; most text has none
+  // of the five special characters.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    std::string_view entity;
+    switch (raw[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      case '\'': entity = "&apos;"; break;
+      default: continue;
+    }
+    out.append(raw.substr(run, i - run));
+    out.append(entity);
+    run = i + 1;
+  }
+  out.append(raw.substr(run));
 }
 
 void append_utf8(std::string& out, std::uint32_t cp) {

@@ -9,6 +9,9 @@ namespace sbq::xml {
 /// Escapes `&`, `<`, `>`, `"`, `'` for use in element content or attributes.
 std::string escape(std::string_view raw);
 
+/// Appends the escaped form of `raw` to `out` (no temporary string).
+void escape_append(std::string& out, std::string_view raw);
+
 /// Resolves the five predefined entities plus `&#NNN;` / `&#xHHH;` numeric
 /// character references (emitted as UTF-8). Throws ParseError on malformed
 /// or unknown entities.

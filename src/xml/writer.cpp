@@ -1,23 +1,45 @@
 #include "xml/writer.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 
 #include "common/error.h"
 #include "xml/escape.h"
 
 namespace sbq::xml {
 
-std::string format_double(double v) {
-  char buf[64];
-  // %.17g always round-trips; shrink to the shortest form that does.
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == v) break;
+std::string_view format_double(double v, DoubleChars& buf) {
+  char* const first = buf.data();
+  char* const last = first + buf.size();
+  // Non-finite values keep %g's spellings: inf, -inf, nan, -nan.
+  if (!std::isfinite(v)) {
+    return {first, static_cast<std::size_t>(std::to_chars(first, last, v).ptr - first)};
   }
-  return buf;
+  // The shortest round-trip form fixes the least digit count that can
+  // round-trip; %g at fewer than 6 digits is never used.
+  const char* const sci_end =
+      std::to_chars(first, last, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = first; p != sci_end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  // %.{prec}g rounds correctly, which near a power of two can land outside
+  // the round-trip interval: step the precision up until it reads back.
+  for (int prec = std::max(6, digits);; ++prec) {
+    const char* const end =
+        std::to_chars(first, last, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    const bool read_back = std::from_chars(first, end, back).ec == std::errc{};
+    if ((read_back && back == v) || prec >= 17) {
+      return {first, static_cast<std::size_t>(end - first)};
+    }
+  }
+}
+
+std::string format_double(double v) {
+  DoubleChars buf;
+  return std::string{format_double(v, buf)};
 }
 
 void XmlWriter::declaration() {
@@ -55,7 +77,7 @@ void XmlWriter::attribute(std::string_view name, std::string_view value) {
   out_ += ' ';
   out_ += name;
   out_ += "=\"";
-  out_ += escape(value);
+  escape_append(out_, value);
   out_ += '"';
 }
 
@@ -66,7 +88,7 @@ void XmlWriter::attribute(std::string_view name, std::int64_t value) {
 void XmlWriter::text(std::string_view value) {
   if (open_.empty()) throw ParseError("text outside root element");
   close_start_tag();
-  out_ += escape(value);
+  escape_append(out_, value);
   just_opened_ = false;
 }
 
@@ -108,7 +130,8 @@ void XmlWriter::text_element(std::string_view name, std::int64_t value) {
 }
 
 void XmlWriter::text_element(std::string_view name, double value) {
-  text_element(name, std::string_view{format_double(value)});
+  DoubleChars buf;
+  text_element(name, format_double(value, buf));
 }
 
 std::string XmlWriter::take() {

@@ -3,6 +3,7 @@
 // attribute values, attributes rejected after child content has begun.
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,8 +58,16 @@ class XmlWriter {
   bool had_child_ = false;      // last content in current element was a child
 };
 
-/// Formats a double the way SOAP payloads in this library do: shortest
-/// round-trippable representation.
+/// Room for any string format_double produces (at most 24 characters, as in
+/// "-2.2250738585072014e-308").
+using DoubleChars = std::array<char, 32>;
+
+/// Formats a double the way SOAP payloads in this library do: printf's %g
+/// at the least precision of at least 6 digits that reads back to the same
+/// double. Writes into `buf` and returns a view of it, without allocating.
+std::string_view format_double(double v, DoubleChars& buf);
+
+/// The same string, owned.
 std::string format_double(double v);
 
 }  // namespace sbq::xml

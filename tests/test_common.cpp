@@ -2,7 +2,15 @@
 // arena, hexdump.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/bytes.h"
@@ -119,6 +127,101 @@ TEST(Strings, ParseNumbers) {
   EXPECT_THROW(parse_u64("12x"), ParseError);
   EXPECT_THROW(parse_i64(""), ParseError);
   EXPECT_THROW(parse_f64("abc"), ParseError);
+}
+
+// ---------------------------------------- parse_f64 differential oracle
+
+// parse_f64 reads with std::from_chars and falls back to strtod; strtod on
+// the same text is the reference, compared bit for bit.
+double reference_parse(const std::string& text) {
+  return std::strtod(text.c_str(), nullptr);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Texts for the seeded values in every layout a writer might use: %g at 6
+// and 17 digits, shortest round-trip, fixed, and long random digit strings
+// with exponents past both ends of the range.
+std::vector<std::string> float_corpus(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::string> out;
+  char buf[512];
+  auto add_value = [&](double v) {
+    for (const char* fmt : {"%.6g", "%.17g", "%a"}) {
+      std::snprintf(buf, sizeof buf, fmt, v);
+      out.emplace_back(buf);
+    }
+    const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    out.emplace_back(buf, end);
+    if (std::isfinite(v) && std::fabs(v) < 1e30) {
+      std::snprintf(buf, sizeof buf, "%.20f", v);
+      out.emplace_back(buf);
+    }
+  };
+  using limits = std::numeric_limits<double>;
+  for (double v : {0.0, -0.0, limits::max(), limits::lowest(), limits::min(),
+                   limits::denorm_min(), limits::infinity(), -limits::infinity()}) {
+    add_value(v);
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    add_value(p);
+    add_value(std::nextafter(p, 0.0));
+    add_value(std::nextafter(p, limits::infinity()));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    add_value(std::bit_cast<double>(rng.next_u64()));
+    add_value(rng.normal(20.0, 8.0));
+    std::string digits = rng.chance(0.5) ? "-" : "";
+    const auto len = rng.uniform_int(1, 40);
+    for (std::int64_t k = 0; k < len; ++k) {
+      digits += static_cast<char>('0' + rng.uniform_int(0, 9));
+      if (k == 0 && rng.chance(0.5)) digits += '.';
+    }
+    digits += 'e';
+    digits += std::to_string(rng.uniform_int(-400, 400));
+    out.push_back(std::move(digits));
+  }
+  return out;
+}
+
+TEST(Strings, ParseF64MatchesStrtodBitForBit) {
+  const auto corpus = float_corpus(0x5eedf64u, 200'000);
+  std::size_t mismatches = 0;
+  for (const std::string& text : corpus) {
+    const double want = reference_parse(text);
+    const double got = parse_f64(text);
+    if (bits(got) != bits(want) && !(std::isnan(got) && std::isnan(want))) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "'" << text << "': parse_f64 " << std::hex << bits(got)
+                      << ", strtod " << bits(want);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << corpus.size();
+}
+
+TEST(Strings, ParseF64KeepsTheStrtodGrammar) {
+  for (const char* text :
+       {"+1.5", "0x1p3", "-0x1.8p-2", "1e400", "-1e400", "1e-400", "-1e-400",
+        "2e-324", "5e-324", "INF", "-inf", "infinity", "-Infinity", "nan",
+        "-nan", "NaN", "nan(123)", "nan()", ".5", "-.5e1", "5.", "-0",
+        "1.7976931348623157e308", "2.2250738585072011e-308"}) {
+    const double want = reference_parse(text);
+    const double got = parse_f64(text);
+    EXPECT_EQ(bits(got), bits(want)) << text;
+  }
+  EXPECT_EQ(bits(parse_f64("  \t2.5e3\n")), bits(2500.0));
+  EXPECT_TRUE(std::isinf(parse_f64("1e400")));
+  EXPECT_EQ(bits(parse_f64("-1e-400")), bits(-0.0));
+}
+
+TEST(Strings, ParseF64RejectsJunk) {
+  for (const char* text : {"", "   ", "abc", "1e", "1e+", "1.5x", "1,5", "--1",
+                           "+-1", "0x", "infinit", "nan(", "1 2", ".", "e5",
+                           "++1", "1.5f"}) {
+    EXPECT_THROW(parse_f64(text), ParseError) << "'" << text << "'";
+  }
 }
 
 TEST(Strings, IsBlank) {

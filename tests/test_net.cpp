@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <csignal>
+
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,6 +340,54 @@ TEST(TcpNonblockingTest, WriteChainSomeResumesFromAnOffset) {
   std::string got(payload.size(), '\0');
   pair.client->read_exact(got.data(), got.size());
   EXPECT_EQ(got, payload);
+}
+
+// ------------------------------------------------ writes to a closed peer
+
+// Every TcpStream write path, run against a peer that has gone away.
+void write_each_way(TcpStream& stream, std::string_view payload) {
+  BufferChain chain;
+  chain.append_view(as_bytes(payload));
+  bool would_block = false;
+  stream.set_write_timeout_us(0);
+  EXPECT_THROW(stream.write_all(payload), TransportError);
+  EXPECT_THROW(stream.write_chain(chain), TransportError);
+  stream.set_write_timeout_us(1'000'000);
+  EXPECT_THROW(stream.write_all(payload), TransportError);
+  EXPECT_THROW(stream.write_chain(chain), TransportError);
+  EXPECT_THROW((void)stream.write_chain_some(chain, 0, would_block), TransportError);
+}
+
+TEST(TcpClosedPeerTest, WritesThrowInsteadOfRaisingSigpipe) {
+  // No SIGPIPE handler: a write that raised the signal would kill the test.
+  struct sigaction current {};
+  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &current), 0);
+  ASSERT_EQ(current.sa_handler, SIG_DFL);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  TcpStream writer(fds[0]);
+  TcpStream peer(fds[1]);
+  peer.close();
+  write_each_way(writer, "to nobody");
+}
+
+TEST(TcpClosedPeerTest, LoopbackWriteAfterPeerCloseThrowsTransportError) {
+  TcpPair pair;
+  pair.client->close();
+  // The first segments may still be accepted before the peer's reset comes
+  // back; a later write must fail with EPIPE/ECONNRESET as TransportError.
+  const std::string chunk(64 * 1024, 'p');
+  bool threw = false;
+  for (int i = 0; i < 1000 && !threw; ++i) {
+    try {
+      pair.served->write_all(std::string_view{chunk});
+    } catch (const TransportError&) {
+      threw = true;
+    }
+  }
+  EXPECT_TRUE(threw);
+  write_each_way(*pair.served, chunk);
 }
 
 // -------------------------------------------------- write-side deadlines

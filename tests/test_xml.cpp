@@ -1,6 +1,16 @@
 // Unit tests for the XML substrate: escaping, SAX parser, DOM, writer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/sax.h"
@@ -298,9 +308,141 @@ TEST(Writer, OutputParsesBack) {
 
 TEST(Writer, FormatDoubleRoundTrips) {
   for (double v : {0.0, 1.5, -2.25, 3.14159265358979, 1e-9, 6.02e23}) {
-    EXPECT_DOUBLE_EQ(std::stod(format_double(v)), v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::stod(format_double(v))),
+              std::bit_cast<std::uint64_t>(v));
   }
 }
+
+TEST(Writer, TextAndAttributesEscapeInPlace) {
+  XmlWriter w;
+  w.start_element("r");
+  w.attribute("a", "<\"'&>");
+  w.text("x&y<z");
+  w.text("plain");
+  w.text("");
+  w.end_element();
+  EXPECT_EQ(w.take(), "<r a=\"&lt;&quot;&apos;&amp;&gt;\">x&amp;y&lt;zplain</r>");
+  std::string out = "keep:";
+  escape_append(out, "&&");
+  EXPECT_EQ(out, "keep:&amp;&amp;");
+}
+
+// ------------------------------------------- number codec differential oracle
+
+// The formatter format_double replaced: %g at precision 6, 7, ... 17 until
+// sscanf reads the double back. The wire format is defined by its output.
+std::string reference_format_double(double v) {
+  char buf[64];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == v) break;
+  }
+  return buf;
+}
+
+double parse_c(const char* s) { return std::strtod(s, nullptr); }
+
+// Values where %g changes layout or where correct rounding and round-trip
+// disagree: signed zeros, infinities, NaNs, the ends of the range,
+// subnormals, every power of two and its neighbours, powers of ten (where
+// %g switches between fixed and exponent form) and decimal grids.
+std::vector<double> edge_doubles() {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> out = {0.0,           -0.0,          limits::max(),
+                             limits::lowest(), limits::min(), limits::denorm_min(),
+                             -limits::denorm_min(), limits::infinity(),
+                             -limits::infinity(), limits::quiet_NaN(),
+                             -limits::quiet_NaN(), limits::epsilon()};
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (double x : {p, std::nextafter(p, 0.0), std::nextafter(p, limits::infinity())}) {
+      out.push_back(x);
+      out.push_back(-x);
+    }
+  }
+  for (int e = -324; e <= 308; ++e) {
+    const std::string text = "1e" + std::to_string(e);
+    const double t = parse_c(text.c_str());
+    out.push_back(t);
+    out.push_back(t * 1.5);
+    out.push_back(std::nextafter(t, limits::infinity()));
+    out.push_back(std::nextafter(t, 0.0));
+  }
+  for (double x : {99999.5, 999999.5, 123456.7, 1234567.5, 9999995.0, 1e16 + 2,
+                   1e17 + 16, 0.0001, 0.00012345678, 0.000099999995}) {
+    out.push_back(x);
+    out.push_back(-x);
+  }
+  for (int i = 0; i <= 100'000; ++i) {
+    out.push_back(i);
+    out.push_back(i * 0.01);
+    out.push_back(i / 10.0);
+  }
+  return out;
+}
+
+// Seeded random doubles: every bit pattern (NaN payloads, infinities and
+// subnormals included), subnormals on their own, and normal(20, 8) draws
+// like the benchmark's records carry.
+std::vector<double> random_doubles(std::uint64_t seed, std::size_t bit_patterns) {
+  Rng rng(seed);
+  std::vector<double> out;
+  out.reserve(bit_patterns + bit_patterns / 4);
+  for (std::size_t i = 0; i < bit_patterns; ++i) {
+    out.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  for (std::size_t i = 0; i < bit_patterns / 16; ++i) {
+    const std::uint64_t subnormal = rng.next_u64() & 0x800F'FFFF'FFFF'FFFFull;
+    out.push_back(std::bit_cast<double>(subnormal));
+    out.push_back(rng.normal(20.0, 8.0));
+    out.push_back(rng.normal(20.0, 8.0));
+    out.push_back(rng.normal(20.0, 8.0));
+  }
+  return out;
+}
+
+std::size_t count_format_mismatches(const std::vector<double>& values) {
+  std::size_t mismatches = 0;
+  DoubleChars buf;
+  for (double v : values) {
+    const std::string want = reference_format_double(v);
+    const std::string_view got = format_double(v, buf);
+    if (got != want) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                      << ": format_double gives '" << got << "', the %g loop '"
+                      << want << "'";
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(NumberCodec, FormatDoubleMatchesThePrintfLoopOnEdgeValues) {
+  const auto values = edge_doubles();
+  EXPECT_EQ(count_format_mismatches(values), 0u) << "of " << values.size();
+  EXPECT_EQ(format_double(1e5), "100000");
+  EXPECT_EQ(format_double(1e6), "1e+06");
+  EXPECT_EQ(format_double(1e16), "1e+16");
+  EXPECT_EQ(format_double(0.1), "0.1");
+  EXPECT_EQ(format_double(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "nan");
+}
+
+// 1 M random bit patterns, plus subnormals and normal draws, in four seeded
+// shards so the suite runs them in parallel.
+class FormatDoubleRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FormatDoubleRandom, MatchesThePrintfLoop) {
+  const auto values = random_doubles(GetParam(), 250'000);
+  EXPECT_EQ(count_format_mismatches(values), 0u) << "of " << values.size();
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleRandom,
+                         ::testing::Values(0x5eed0001u, 0x5eed0002u, 0x5eed0003u,
+                                           0x5eed0004u));
 
 }  // namespace
 }  // namespace sbq::xml
